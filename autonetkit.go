@@ -118,9 +118,10 @@ type BuildOptions struct {
 	Render  render.Options
 	// Cache, when non-nil, enables the incremental content-addressed build
 	// cache for both the compile and render stages (unless a stage already
-	// carries its own store). Devices whose inputs are unchanged since the
-	// store was last warmed skip compilation and template execution;
-	// artifacts are byte-identical either way.
+	// carries its own store). Entries are keyed per device: devices whose
+	// inputs are unchanged since the store was last warmed skip compilation
+	// and template execution, while lab finalisation and lab-level files
+	// rerun on every build. Artifacts are byte-identical either way.
 	Cache *cache.Store
 }
 

@@ -789,9 +789,12 @@ func BenchmarkP1_CompileRender(b *testing.B) {
 }
 
 // --- P4: incremental content-addressed rebuild. Cold runs compile and
-// render every device into a fresh store; warm reuses a fully warmed store,
-// paying only digest computation and artifact decoding. The gap is the
-// speedup an unchanged rebuild gets from `ankbuild -cache`. ---
+// render every device into a fresh store; warm rebuilds an unchanged model
+// against a fully warmed store, paying per-device digest computation,
+// record decoding and lab finalisation; edited moves one OSPF edge cost per
+// iteration before rebuilding against the warm store, so exactly that
+// edge's two endpoints recompile and re-render — the edit → rebuild loop
+// `ankbuild -cache` serves. ---
 
 func BenchmarkP4_IncrementalRebuild(b *testing.B) {
 	net := p1Input(b)
@@ -815,6 +818,26 @@ func BenchmarkP4_IncrementalRebuild(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			runOnce(b, store)
+		}
+	})
+	b.Run("edited", func(b *testing.B) {
+		store := cache.NewMemory()
+		runOnce(b, store)
+		edge := net.ANM.Overlay(design.OverlayOSPF).Edges()[0]
+		orig := edge.Get(design.AttrCost)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// A fresh cost every iteration: no rebuild can hit an earlier
+			// iteration's entries for the two endpoints.
+			if err := edge.Set(design.AttrCost, 1000+i); err != nil {
+				b.Fatal(err)
+			}
+			runOnce(b, store)
+		}
+		// The next b.N round restarts at cost 1000, so its warm-up must not
+		// build that cost already.
+		if err := edge.Set(design.AttrCost, orig); err != nil {
+			b.Fatal(err)
 		}
 	})
 }

@@ -33,7 +33,8 @@ func movedDevices(before, after map[graph.ID]cache.Digest) []string {
 // TestCacheInvalidationMatrix mutates one attribute of each model layer —
 // a node, an edge, an overlay, a template, an allocated IP block — and
 // asserts via the obs counters that exactly the dependent devices miss the
-// compile (or render) cache while everything else hits.
+// compile (or render) cache while everything else hits, and that the store
+// grows by exactly one entry per miss.
 func TestCacheInvalidationMatrix(t *testing.T) {
 	store := cache.NewMemory()
 	net := buildCached(t, topogen.SmallInternet(), store, 1)
@@ -120,7 +121,13 @@ func TestCacheInvalidationMatrix(t *testing.T) {
 				}
 			}
 
+			before := store.Len()
 			c := recompile(t)
+			// The store grows by exactly one record per missed device: the
+			// per-device tier is the only thing a rebuild writes.
+			if grown := store.Len() - before; grown != len(want) {
+				t.Errorf("recompile grew the store by %d entries, want %d", grown, len(want))
+			}
 			if c[obs.CounterCompileCacheMisses] != int64(len(want)) {
 				t.Errorf("compile misses = %d, want %d (%v)",
 					c[obs.CounterCompileCacheMisses], len(want), want)
@@ -149,6 +156,7 @@ func TestCacheInvalidationMatrix(t *testing.T) {
 			render.DeviceTemplates("quagga")[1:]...))
 		defer render.ReplaceDeviceTemplates("quagga", prev)
 
+		before := store.Len()
 		col := obs.NewCollector()
 		if _, err := render.RenderWith(context.Background(), db, render.Options{Cache: store, Obs: col}); err != nil {
 			t.Fatal(err)
@@ -157,6 +165,9 @@ func TestCacheInvalidationMatrix(t *testing.T) {
 		if c[obs.CounterRenderCacheMisses] != n || c[obs.CounterRenderCacheHits] != 0 {
 			t.Errorf("post-template-edit render hits/misses = %d/%d, want 0/%d",
 				c[obs.CounterRenderCacheHits], c[obs.CounterRenderCacheMisses], n)
+		}
+		if grown := store.Len() - before; int64(grown) != n {
+			t.Errorf("re-render grew the store by %d entries, want %d", grown, n)
 		}
 		// The compile digests must not have moved: template identity is a
 		// render-only input.

@@ -43,11 +43,11 @@ type Options struct {
 	// setting: devices compile independently and are merged into the
 	// Resource Database in physical-overlay node order.
 	Workers int
-	// Cache, when non-nil, is the incremental build store: devices whose
-	// input digest (DeviceDigest) matches a stored entry reuse their prior
-	// Resource-Database record instead of recompiling. Output is
-	// byte-identical at every cache state; lab finalisation always reruns
-	// because it depends on the full device set.
+	// Cache, when non-nil, is the incremental build store, keyed per
+	// device: devices whose input digest (DeviceDigest) matches a stored
+	// entry reuse their prior Resource-Database record instead of
+	// recompiling. Output is byte-identical at every cache state; lab
+	// finalisation always reruns because it depends on the full device set.
 	Cache *cache.Store
 	// Obs, when non-nil, receives timing spans and work counters.
 	Obs *obs.Collector
@@ -90,29 +90,11 @@ func CompileContext(ctx context.Context, anm *core.ANM, alloc *ipalloc.Result, o
 		return nil, fmt.Errorf("compile: IP allocation result required")
 	}
 
-	// Whole-build fast path: one linear hash of the entire model, and on a
-	// hit the finished (post-finalisation) database is restored from a
-	// single blob — no per-device digests, compilation or lab finalisation.
-	// A miss falls through to the per-device incremental path below, which
-	// still reuses every unchanged device, then stores the finished build.
-	var modelDig cache.Digest
-	if opts.Cache != nil {
-		modelDig = ModelDigest(anm, alloc, opts)
-		if db, ok := lookupBuild(opts.Cache, modelDig, opts.Obs); ok {
-			return db, nil
-		}
-	}
-
-	db := nidb.New()
-	c := &compiler{anm: anm, alloc: alloc, opts: opts, db: db}
+	c := &compiler{anm: anm, alloc: alloc, opts: opts, db: nidb.New()}
 	if err := c.run(ctx); err != nil {
 		return nil, err
 	}
-	if opts.Cache != nil {
-		db.ModelDigest = modelDig
-		storeBuild(opts.Cache, modelDig, db)
-	}
-	return db, nil
+	return c.db, nil
 }
 
 type compiler struct {

@@ -115,3 +115,35 @@ func TestCompileCacheHitProducesIdenticalDB(t *testing.T) {
 		t.Error("cached compile produced a different Resource Database")
 	}
 }
+
+// TestCompileCacheCorruptRecordRecompiles: a stored record that no longer
+// decodes (version skew, corruption past the store's checksum) degrades to
+// a recompile of exactly that device, never to an error or a different
+// database, and the recompile re-stores a good record.
+func TestCompileCacheCorruptRecordRecompiles(t *testing.T) {
+	store := cache.NewMemory()
+	anm, alloc, dbCold := pipeline(t, nil, Options{Cache: store}, design.Options{})
+	victim := anm.Overlay(core.OverlayPhy).Routers()[0].ID()
+	store.Put(DeviceDigest(anm, alloc, Options{}, victim), []byte("not a record"))
+
+	for _, pass := range []struct {
+		name                     string
+		wantMisses, wantCompiled int64
+	}{{"poisoned", 1, 1}, {"re-stored", 0, 0}} {
+		col := obs.NewCollector()
+		db, err := Compile(anm, alloc, Options{Cache: store, Obs: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := col.Snapshot().Counters
+		if c[obs.CounterCompileCacheMisses] != pass.wantMisses || c[obs.CounterDevicesCompiled] != pass.wantCompiled {
+			t.Errorf("%s: misses/compiled = %d/%d, want %d/%d", pass.name,
+				c[obs.CounterCompileCacheMisses], c[obs.CounterDevicesCompiled], pass.wantMisses, pass.wantCompiled)
+		}
+		jc, _ := dbCold.MarshalJSON()
+		jw, _ := db.MarshalJSON()
+		if string(jc) != string(jw) {
+			t.Errorf("%s: compile produced a different Resource Database", pass.name)
+		}
+	}
+}

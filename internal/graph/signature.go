@@ -21,28 +21,6 @@ type AttrHasher interface {
 // hops away must be captured by the caller hashing additional tokens (as
 // internal/compile does for collision-domain closures), keeping
 // invalidation proportional to real dependencies.
-// WriteGraphSignature writes a stable signature of the entire graph: its
-// direction and graph-level attributes, then every node (id and attributes)
-// in insertion order, then every edge (endpoints and attributes) in
-// insertion order. Because insertion order defines the pipeline's iteration
-// order everywhere downstream, two graphs with equal signatures are
-// interchangeable as compile inputs. One pass over the whole structure is
-// far cheaper than the union of per-node signatures, which revisit shared
-// edges and neighbourhoods once per node — this is the build-level digest
-// the whole-build cache keys on.
-func WriteGraphSignature(h AttrHasher, g *Graph) {
-	h.Bool(g.directed)
-	h.Attrs(g.attrs)
-	for _, id := range g.order {
-		h.Str("n", string(id))
-		h.Attrs(g.nodes[id].attrs)
-	}
-	for _, e := range g.edgeOrder {
-		h.Str("e", string(e.src), string(e.dst))
-		h.Attrs(e.attrs)
-	}
-}
-
 func WriteNodeSignature(h AttrHasher, g *Graph, id ID) {
 	h.Str("node", string(id))
 	n := g.Node(id)

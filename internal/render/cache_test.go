@@ -111,3 +111,43 @@ func TestSyntaxFingerprintTracksTemplateSet(t *testing.T) {
 		t.Error("restoring the template set did not restore the fingerprint")
 	}
 }
+
+// TestRenderCacheLabTemplateRegistration pins the per-device tier's lab
+// contract: lab-level files are never cached, so a lab template registered
+// after the store was warmed reaches the very next render, while every
+// device — whose key covers only its own syntax's templates — still hits.
+func TestRenderCacheLabTemplateRegistration(t *testing.T) {
+	db := buildDB(t, "netkit", "quagga")
+	store := cache.NewMemory()
+	if _, err := RenderWith(context.Background(), db, Options{Cache: store}); err != nil {
+		t.Fatal(err)
+	}
+
+	prevLab := labTemplates["netkit"]
+	RegisterLabTemplate("netkit", labTemplate{
+		RelPath:  "extra.conf",
+		Template: tmpl.MustParse("lab-extra", "extra for ${lab.host}\n"),
+	})
+	defer func() { labTemplates["netkit"] = prevLab }()
+
+	col := obs.NewCollector()
+	warm, err := RenderWith(context.Background(), db, Options{Cache: store, Obs: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := warm.Read("localhost/netkit/extra.conf"); !ok || got != "extra for localhost\n" {
+		t.Errorf("lab-template registration did not reach the warm render: %q, %v", got, ok)
+	}
+	c := col.Snapshot().Counters
+	if c[obs.CounterRenderCacheHits] != int64(db.Len()) || c[obs.CounterRenderCacheMisses] != 0 {
+		t.Errorf("warm hits/misses = %d/%d, want %d/0",
+			c[obs.CounterRenderCacheHits], c[obs.CounterRenderCacheMisses], db.Len())
+	}
+	plain, err := Render(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderHash(t, plain) != renderHash(t, warm) {
+		t.Error("warm render after lab-template registration differs from cache-disabled render")
+	}
+}

@@ -96,7 +96,7 @@ go test -race -run 'TestGoldenShardDrill|TestShardPartitionProperty' -count=1 .
 echo "== sharded convergence parity (-race; byte-identical reports/events/RIBs/FIBs across the shard x worker x incremental cross-product; ANK_SHARDS pins the wide shard count)"
 ANK_SHARDS="${ANK_SHARDS:-4}" go test -race -run 'TestShardedConvergenceParity|TestShardWatchdogMeasureRace' -count=1 .
 
-echo "== incremental rebuild benchmark (cold vs warm)"
+echo "== incremental rebuild benchmark (cold vs warm vs edited)"
 go test -run 'NONE' -bench 'BenchmarkP4_IncrementalRebuild' -benchtime 3x .
 
 echo "== incremental convergence benchmark (full vs incremental reconvergence)"
