@@ -390,16 +390,16 @@ func BenchmarkE10_RPKIDeploy(b *testing.B) {
 		for j := range vms {
 			vms[j] = fmt.Sprintf("vm%03d", j)
 		}
-		pool, err := deploy.NewHostPool(
-			&deploy.Host{Name: "a", Capacity: 300},
-			&deploy.Host{Name: "b", Capacity: 300},
-			&deploy.Host{Name: "c", Capacity: 300},
-		)
+		cluster, err := sched.New(sched.NewStaticBackend(
+			sched.HostInfo{Name: "a", Capacity: 300},
+			sched.HostInfo{Name: "b", Capacity: 300},
+			sched.HostInfo{Name: "c", Capacity: 300},
+		), sched.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := pool.Place(vms); err != nil {
-			b.Fatal(err)
+		if st, err := cluster.Reserve(sched.Spec{Name: "rpki", VMs: vms}); err != nil || st.State != sched.ResActive {
+			b.Fatalf("reserve: %+v, %v", st.State, err)
 		}
 	}
 }

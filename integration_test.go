@@ -20,6 +20,7 @@ import (
 	"autonetkit/internal/graph"
 	"autonetkit/internal/ipalloc"
 	"autonetkit/internal/measure"
+	"autonetkit/internal/sched"
 	"autonetkit/internal/services/dns"
 	"autonetkit/internal/topogen"
 )
@@ -68,6 +69,12 @@ func TestMultiHostPlacement(t *testing.T) {
 		if c[1] != "r5" && c[0] != "r5" {
 			t.Errorf("unexpected cross-host link %v", c)
 		}
+	}
+	// A cluster deployment launches one lab; a tree split across two
+	// design-time hosts is refused, not silently cut down to hosta's.
+	if _, err := net.DeployCluster(sched.Uniform(2, 5), deploy.ClusterOptions{Seed: 1}); err == nil ||
+		!strings.Contains(err.Error(), "hosta, hostb") {
+		t.Errorf("DeployCluster of a two-host tree: err = %v, want one naming hosta, hostb", err)
 	}
 }
 

@@ -7,9 +7,10 @@
 // archive produced here is byte-for-byte what would be shipped.
 //
 // Multi-host deployments (the §3.3 RPKI study placed 800+ VMs across
-// StarBed hosts) are modelled by HostPool: hosts with VM capacity, a
-// placement step, and cross-host link realisation (the paper's GRE-tunnel
-// connections between distributed vSwitches, §5.4).
+// StarBed hosts) run through RunCluster: the internal/sched cluster
+// scheduler places VMs onto hosts with finite capacity, each placed host
+// boots under a retry policy, and CrossHostLinks names the links needing
+// the paper's GRE tunnels between distributed vSwitches (§5.4).
 package deploy
 
 import (
@@ -22,7 +23,6 @@ import (
 	"path"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"autonetkit/internal/emul"
@@ -99,14 +99,94 @@ type Event struct {
 	Detail string
 }
 
+// launchLog is what every deployment shares: its progress event stream
+// and, once booted, the running lab. Run and RunCluster drive the same
+// stage → launch sequence through it.
+type launchLog struct {
+	events  []Event
+	onEvent func(Event)
+	lab     *emul.Lab
+}
+
+// Lab returns the running lab (nil when the deployment stopped before
+// launch).
+func (l *launchLog) Lab() *emul.Lab { return l.lab }
+
+// Events returns all progress events so far.
+func (l *launchLog) Events() []Event {
+	out := make([]Event, len(l.events))
+	copy(out, l.events)
+	return out
+}
+
+func (l *launchLog) emit(ev Event) {
+	l.events = append(l.events, ev)
+	if l.onEvent != nil {
+		l.onEvent(ev)
+	}
+}
+
+// stage ships a rendered tree to its destination: archive → transfer →
+// extract, one event each. It returns the tree as the far side sees it.
+func (l *launchLog) stage(fs *render.FileSet, dest string) (*render.FileSet, error) {
+	bundle, err := Archive(fs)
+	if err != nil {
+		return nil, err
+	}
+	l.emit(Event{"archive", fmt.Sprintf("%d files, %d bytes compressed", fs.Len(), len(bundle))})
+
+	// Transfer: in the paper this is an scp to the emulation server; here
+	// the bundle crosses into the emulation host's address space.
+	received := make([]byte, len(bundle))
+	copy(received, bundle)
+	l.emit(Event{"transfer", fmt.Sprintf("%d bytes to %s", len(received), dest)})
+
+	extracted, err := Extract(received)
+	if err != nil {
+		return nil, err
+	}
+	l.emit(Event{"extract", fmt.Sprintf("%d files", extracted.Len())})
+	return extracted, nil
+}
+
+// launch boots a loaded lab and reports it: lstart, one machine event per
+// lab log line, the convergence watchdog when supervise is set, then the
+// quarantine summary of a lenient partial boot and done. The lab is
+// recorded as running unless lab.Boot itself fails; a partial boot
+// returns an error wrapping emul.ErrPartialBoot alongside the running lab.
+// c collects the watchdog and quarantine counters.
+func (l *launchLog) launch(lab *emul.Lab, bo emul.BootOptions, c *obs.Collector, supervise bool) error {
+	l.emit(Event{"lstart", fmt.Sprintf("launching %d machines", len(lab.VMNames()))})
+	bootErr := lab.Boot(bo)
+	if bootErr != nil && !errors.Is(bootErr, emul.ErrPartialBoot) {
+		return bootErr
+	}
+	for _, ev := range lab.Events() {
+		l.emit(Event{"machine", ev})
+	}
+	l.lab = lab
+	if supervise {
+		if err := superviseBoot(lab, c, l.emit); err != nil {
+			return err
+		}
+	}
+	if bootErr != nil {
+		q := lab.Quarantined()
+		c.Add(obs.CounterDevicesQuarantined, int64(len(q)))
+		l.emit(Event{"quarantine", fmt.Sprintf("%d machines quarantined (%s)", len(q), strings.Join(q, ", "))})
+		l.emit(Event{"done", "lab running (partial)"})
+		return bootErr
+	}
+	l.emit(Event{"done", "lab running"})
+	return nil
+}
+
 // Deployment runs the archive → transfer → extract → launch sequence
 // against an in-process emulation host and exposes the running lab.
 type Deployment struct {
 	Host     string
 	Platform string
-	events   []Event
-	lab      *emul.Lab
-	onEvent  func(Event)
+	launchLog
 }
 
 // Options configures a deployment.
@@ -155,73 +235,24 @@ func Run(fs *render.FileSet, opts Options) (*Deployment, error) {
 	if opts.Platform == "" {
 		opts.Platform = "netkit"
 	}
-	d := &Deployment{Host: opts.Host, Platform: opts.Platform, onEvent: opts.OnEvent}
+	d := &Deployment{Host: opts.Host, Platform: opts.Platform, launchLog: launchLog{onEvent: opts.OnEvent}}
 
-	bundle, err := Archive(fs)
+	extracted, err := d.stage(fs, opts.Host)
 	if err != nil {
 		return nil, err
 	}
-	d.emit(Event{"archive", fmt.Sprintf("%d files, %d bytes compressed", fs.Len(), len(bundle))})
-
-	// Transfer: in the paper this is an scp to the emulation server; here
-	// the bundle crosses into the emulation host's address space.
-	received := make([]byte, len(bundle))
-	copy(received, bundle)
-	d.emit(Event{"transfer", fmt.Sprintf("%d bytes to %s", len(received), opts.Host)})
-
-	extracted, err := Extract(received)
-	if err != nil {
-		return nil, err
-	}
-	d.emit(Event{"extract", fmt.Sprintf("%d files", extracted.Len())})
-
 	lab, err := emul.Load(extracted, opts.Host, opts.Platform)
 	if err != nil {
 		return nil, err
 	}
-	d.emit(Event{"lstart", fmt.Sprintf("launching %d machines", len(lab.VMNames()))})
-	bootErr := lab.Boot(emul.BootOptions{
+	err = d.launch(lab, emul.BootOptions{
 		MaxBGPRounds: opts.MaxBGPRounds, ConvergeTimeout: opts.ConvergeTimeout, Lenient: opts.Lenient,
 		Incremental: opts.Incremental, Obs: opts.Obs, Shards: opts.Shards,
-	})
-	if bootErr != nil && !errors.Is(bootErr, emul.ErrPartialBoot) {
-		return nil, bootErr
+	}, opts.Obs, opts.Supervise)
+	if d.lab == nil {
+		return nil, err
 	}
-	for _, ev := range lab.Events() {
-		d.emit(Event{"machine", ev})
-	}
-	d.lab = lab
-	if opts.Supervise {
-		if err := superviseBoot(lab, opts.Obs, d.emit); err != nil {
-			return d, err
-		}
-	}
-	if bootErr != nil {
-		q := lab.Quarantined()
-		opts.Obs.Add(obs.CounterDevicesQuarantined, int64(len(q)))
-		d.emit(Event{"quarantine", fmt.Sprintf("%d machines quarantined (%s)", len(q), strings.Join(q, ", "))})
-		d.emit(Event{"done", "lab running (partial)"})
-		return d, bootErr
-	}
-	d.emit(Event{"done", "lab running"})
-	return d, nil
-}
-
-// Lab returns the running lab.
-func (d *Deployment) Lab() *emul.Lab { return d.lab }
-
-// Events returns all progress events so far.
-func (d *Deployment) Events() []Event {
-	out := make([]Event, len(d.events))
-	copy(out, d.events)
-	return out
-}
-
-func (d *Deployment) emit(ev Event) {
-	d.events = append(d.events, ev)
-	if d.onEvent != nil {
-		d.onEvent(ev)
-	}
+	return d, err
 }
 
 // superviseBoot hands the freshly booted lab to the convergence watchdog,
@@ -241,170 +272,8 @@ func superviseBoot(lab *emul.Lab, c *obs.Collector, emit func(Event)) error {
 	return nil
 }
 
-// Host is one emulation server in a pool, with finite VM capacity (the
-// §3.2 observation: emulation scale is limited by host memory).
-type Host struct {
-	Name     string
-	Capacity int
-	assigned []string
-}
-
-// Assigned returns the VMs placed on this host.
-func (h *Host) Assigned() []string {
-	out := make([]string, len(h.assigned))
-	copy(out, h.assigned)
-	return out
-}
-
-// HostPool places VMs across emulation hosts. All methods are safe for
-// concurrent use; placement order is fixed at construction (ascending host
-// name), so results are independent of both call interleaving within one
-// placement and of any map iteration order in the caller.
-type HostPool struct {
-	mu      sync.Mutex
-	hosts   []*Host // sorted by name
-	events  []Event
-	onEvent func(Event)
-}
-
-// NewHostPool builds a pool; capacities must be positive. Hosts are
-// ordered by name regardless of the order given here — the tie-break
-// contract Place documents.
-func NewHostPool(hosts ...*Host) (*HostPool, error) {
-	if len(hosts) == 0 {
-		return nil, fmt.Errorf("deploy: empty host pool")
-	}
-	seen := map[string]bool{}
-	for _, h := range hosts {
-		if h.Capacity <= 0 {
-			return nil, fmt.Errorf("deploy: host %s has capacity %d", h.Name, h.Capacity)
-		}
-		if seen[h.Name] {
-			return nil, fmt.Errorf("deploy: duplicate host %s", h.Name)
-		}
-		seen[h.Name] = true
-	}
-	sorted := make([]*Host, len(hosts))
-	copy(sorted, hosts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	return &HostPool{hosts: sorted}, nil
-}
-
-// SetOnEvent installs a callback receiving the pool's structured events
-// (currently host-failed) as they happen.
-func (p *HostPool) SetOnEvent(fn func(Event)) {
-	p.mu.Lock()
-	p.onEvent = fn
-	p.mu.Unlock()
-}
-
-// PoolEvents returns the pool's own structured events so far (distinct
-// from a deployment's event stream).
-func (p *HostPool) PoolEvents() []Event {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Event, len(p.events))
-	copy(out, p.events)
-	return out
-}
-
-// emitLocked records an event (lock held); the callback runs without the
-// lock so it may call back into the pool.
-func (p *HostPool) emitLocked(ev Event) func() {
-	p.events = append(p.events, ev)
-	fn := p.onEvent
-	return func() {
-		if fn != nil {
-			fn(ev)
-		}
-	}
-}
-
-// TotalCapacity sums host capacities.
-func (p *HostPool) TotalCapacity() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, h := range p.hosts {
-		n += h.Capacity
-	}
-	return n
-}
-
-// Hosts returns a snapshot of the pool's hosts, in name order.
-func (p *HostPool) Hosts() []*Host {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*Host, len(p.hosts))
-	copy(out, p.hosts)
-	return out
-}
-
-// Fail removes a host from the pool (a dead emulation server), emitting a
-// structured host-failed event and returning the host's VMs sorted — the
-// orphan list reads the same in every log, whatever order they were
-// placed in — so the caller can re-place them onto the survivors.
-func (p *HostPool) Fail(name string) ([]string, error) {
-	p.mu.Lock()
-	for i, h := range p.hosts {
-		if h.Name != name {
-			continue
-		}
-		p.hosts = append(p.hosts[:i], p.hosts[i+1:]...)
-		orphans := h.Assigned()
-		sort.Strings(orphans)
-		notify := p.emitLocked(Event{"host-failed", fmt.Sprintf("%s removed from pool; %d VMs orphaned (%s)",
-			name, len(orphans), strings.Join(orphans, ", "))})
-		p.mu.Unlock()
-		notify()
-		return orphans, nil
-	}
-	p.mu.Unlock()
-	return nil, fmt.Errorf("deploy: no host %s in pool", name)
-}
-
 // Placement maps VM names to host names.
 type Placement map[string]string
-
-// Place assigns VMs to hosts first-fit in deterministic order, returning
-// an error when aggregate capacity is exceeded.
-//
-// Tie-breaking contract: VMs are considered in ascending name order, and
-// hosts are filled in ascending host-name order (fixed at NewHostPool).
-// Two hosts with equal capacity therefore always fill in stable name
-// order — placement is a pure function of (host set, VM set), immune to
-// map iteration order or the construction order of the pool.
-func (p *HostPool) Place(vms []string) (Placement, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := 0
-	for _, h := range p.hosts {
-		total += h.Capacity
-	}
-	used := 0
-	for _, h := range p.hosts {
-		used += len(h.assigned)
-	}
-	if len(vms) > total-used {
-		return nil, fmt.Errorf("deploy: %d VMs exceed pool capacity %d", len(vms), total-used)
-	}
-	sorted := make([]string, len(vms))
-	copy(sorted, vms)
-	sort.Strings(sorted)
-	out := Placement{}
-	hi := 0
-	for _, vm := range sorted {
-		for hi < len(p.hosts) && len(p.hosts[hi].assigned) >= p.hosts[hi].Capacity {
-			hi++
-		}
-		if hi >= len(p.hosts) {
-			return nil, fmt.Errorf("deploy: pool exhausted placing %s", vm)
-		}
-		p.hosts[hi].assigned = append(p.hosts[hi].assigned, vm)
-		out[vm] = p.hosts[hi].Name
-	}
-	return out, nil
-}
 
 // CrossHostLinks returns the (vmA, vmB) pairs whose endpoints landed on
 // different hosts — the links needing GRE tunnels between the distributed

@@ -1,6 +1,6 @@
 // Package retry provides the shared bounded-retry policy used wherever
-// the system talks to flaky substrate: per-host boot attempts in pool
-// deployments (deploy.RunPool) and live VM re-placement during cluster
+// the system talks to flaky substrate: per-host boot attempts in cluster
+// deployments (deploy.RunCluster) and live VM re-placement during cluster
 // drains (sched.Cluster.Drain). Exponential backoff with deterministic
 // jitter — the jitter is a hash of (host, attempt), so spreading retries
 // never costs reproducibility.
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"time"
 )
 
@@ -56,7 +55,8 @@ type Policy struct {
 	// AttemptTimeout bounds one attempt; an attempt still running when
 	// it expires counts as a failure (0 disables the bound).
 	AttemptTimeout time.Duration
-	// Sleep is the backoff sleep (test seam; nil selects time.Sleep).
+	// Sleep is the backoff sleep (test seam; nil selects a timer that
+	// context cancellation interrupts).
 	Sleep func(time.Duration)
 	// After is the attempt-timeout clock (test seam; nil selects
 	// time.After).
@@ -179,15 +179,6 @@ func (p Policy) Do(ctx context.Context, host string, fn func(attempt int) error)
 	return &ExhaustedError{Host: host, Attempts: p.Attempts(), Last: last}
 }
 
-// SleepFor sleeps the given backoff through the policy's sleep seam.
-func (p Policy) SleepFor(d time.Duration) {
-	if p.Sleep != nil {
-		p.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
 // AfterChan returns a timer channel for the given duration through the
 // policy's clock seam.
 func (p Policy) AfterChan(d time.Duration) <-chan time.Time {
@@ -198,7 +189,7 @@ func (p Policy) AfterChan(d time.Duration) <-chan time.Time {
 }
 
 // SleepCtx sleeps the given backoff but aborts early when the context is
-// cancelled, returning ctx.Err(). A drain or pool boot mid-backoff stops
+// cancelled, returning ctx.Err(). A drain or host boot mid-backoff stops
 // within one select instead of finishing the sleep. The Sleep seam is
 // honoured when set (tests that stub Sleep stay instantaneous), but the
 // context is still checked before and after the stubbed sleep.
@@ -221,28 +212,4 @@ func (p Policy) SleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// AfterChanCtx is the context-aware AfterChan variant: the returned stop
-// function releases the timer early, and the channel also fires when the
-// context is cancelled (so a select on it wakes on either expiry or
-// cancellation). The After seam is honoured when set.
-func (p Policy) AfterChanCtx(ctx context.Context, d time.Duration) (<-chan time.Time, func()) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make(chan time.Time, 1)
-	done := make(chan struct{})
-	src := p.AfterChan(d)
-	go func() {
-		select {
-		case t := <-src:
-			out <- t
-		case <-ctx.Done():
-			out <- time.Time{}
-		case <-done:
-		}
-	}()
-	var once sync.Once
-	return out, func() { once.Do(func() { close(done) }) }
 }

@@ -91,14 +91,8 @@ func TestPolicyDelayEdgeCases(t *testing.T) {
 }
 
 func TestPolicySeams(t *testing.T) {
-	var slept time.Duration
-	p := Policy{Sleep: func(d time.Duration) { slept = d }}
-	p.SleepFor(42 * time.Millisecond)
-	if slept != 42*time.Millisecond {
-		t.Errorf("sleep seam got %v", slept)
-	}
 	ch := make(chan time.Time, 1)
-	p.After = func(time.Duration) <-chan time.Time { return ch }
+	p := Policy{After: func(time.Duration) <-chan time.Time { return ch }}
 	if p.AfterChan(time.Hour) != (<-chan time.Time)(ch) {
 		t.Error("after seam not used")
 	}
