@@ -674,26 +674,13 @@ func (l *Lab) converge() error {
 		bgp.EnableIncremental(l.bgpReplay, extraDirty)
 	}
 	l.bgp = bgp
-	ctx, cancel := l.budget.Context()
-	l.bgpResult = bgp.RunContext(ctx, l.budget.MaxBGPRounds)
-	cancel()
-	l.logBGPResult()
+	l.runBGP()
 	for _, down := range bgp.SessionsDown() {
 		l.logf("bgp session down: %s", down)
 	}
 	if l.incremental {
-		restored, dirtyPfx, skipped := bgp.IncrementalStats()
-		l.obs.Add(obs.CounterBGPSpeakersRestored, restored)
-		l.obs.Add(obs.CounterBGPDirtyPrefixes, dirtyPfx)
-		l.obs.Add(obs.CounterRoundsSkipped, skipped)
 		bgpChanged = bgp.ChangedSpeakers()
 		l.bgpReplay = bgp.ReplayLog()
-	}
-	if l.shards > 1 {
-		parallelRounds, crossAdverts := bgp.ShardStats()
-		l.obs.Add(obs.CounterBGPShards, int64(bgp.ShardCount()))
-		l.obs.Add(obs.CounterShardRoundsParallel, parallelRounds)
-		l.obs.Add(obs.CounterCrossShardAdverts, crossAdverts)
 	}
 	// Data plane (not for C-BGP, which is a route solver).
 	if l.Platform != "cbgp" {
@@ -754,6 +741,29 @@ func (l *Lab) liveDevices() []*routing.DeviceConfig {
 		}
 	}
 	return devices
+}
+
+// runBGP runs the lab's BGP engine under the convergence budget, logs the
+// outcome and adds the run's engine counters (each engine reports per
+// run). bgp_shards is structural, so it is set rather than summed.
+// Callers hold the write lock.
+func (l *Lab) runBGP() {
+	ctx, cancel := l.budget.Context()
+	l.bgpResult = l.bgp.RunContext(ctx, l.budget.MaxBGPRounds)
+	cancel()
+	l.logBGPResult()
+	if l.incremental {
+		restored, dirtyPfx, skipped := l.bgp.IncrementalStats()
+		l.obs.Add(obs.CounterBGPSpeakersRestored, restored)
+		l.obs.Add(obs.CounterBGPDirtyPrefixes, dirtyPfx)
+		l.obs.Add(obs.CounterRoundsSkipped, skipped)
+	}
+	if l.shards > 1 {
+		parallelRounds, crossAdverts := l.bgp.ShardStats()
+		l.obs.Set(obs.CounterBGPShards, int64(l.bgp.ShardCount()))
+		l.obs.Add(obs.CounterShardRoundsParallel, parallelRounds)
+		l.obs.Add(obs.CounterCrossShardAdverts, crossAdverts)
+	}
 }
 
 // logBGPResult records the outcome of the most recent BGP run in the event

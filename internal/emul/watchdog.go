@@ -142,10 +142,7 @@ func (l *Lab) SoftResetSpeakers(hosts []string) (routing.BGPResult, error) {
 	// A reset discards the engine's trajectory recording, so the lab's
 	// cached replay is stale too; the next converge recomputes in full.
 	l.bgpReplay = nil
-	ctx, cancel := l.budget.Context()
-	l.bgpResult = l.bgp.RunContext(ctx, l.budget.MaxBGPRounds)
-	cancel()
-	l.logBGPResult()
+	l.runBGP()
 	if l.Platform != "cbgp" {
 		if err := l.buildDataplane(l.liveDevices(), nil); err != nil {
 			return l.bgpResult, err

@@ -64,11 +64,12 @@ const (
 	CounterRoundsSkipped       = "rounds_skipped"
 	CounterFIBNodesReused      = "fib_nodes_reused"
 
-	// Sharded-convergence counters (internal/routing/shard.go): the number
-	// of structural per-AS shards in the converged topology, rounds
-	// evaluated by the parallel wavefront driver, and advertisements
-	// delivered across shard boundaries (eBGP sessions). All zero when the
-	// sequential sweep ran (shards knob <= 1).
+	// Sharded-convergence counters (internal/routing/shard.go), emitted
+	// only when the shards knob is > 1: the number of structural per-AS
+	// shards in the most recently converged topology (a value, not a sum),
+	// plus, summed over every BGP run (converges and soft resets), rounds
+	// evaluated by the parallel wavefront and advertisements delivered
+	// across shard boundaries (eBGP sessions).
 	CounterBGPShards           = "bgp_shards"
 	CounterShardRoundsParallel = "shard_rounds_parallel"
 	CounterCrossShardAdverts   = "cross_shard_adverts"
@@ -186,6 +187,17 @@ func (c *Collector) Add(name string, delta int64) {
 	}
 	c.mu.Lock()
 	c.counters[name] += delta
+	c.mu.Unlock()
+}
+
+// Set overwrites a named counter — for structural values, such as a shard
+// count, that must not sum across repeated emissions.
+func (c *Collector) Set(name string, v int64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.counters[name] = v
 	c.mu.Unlock()
 }
 

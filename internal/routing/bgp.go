@@ -165,12 +165,12 @@ type BGPEngine struct {
 	// previous run's trajectory being replayed (nil when inactive); record
 	// accumulates this run's trajectory. staticDirty marks speakers whose
 	// configuration differs from the replayed run's; deviant marks speakers
-	// that have departed from the trajectory mid-run. ran guards against
-	// replaying into a continuation run.
+	// that have departed from the trajectory mid-run. Both are indexed like
+	// order. ran guards against replaying into a continuation run.
 	replay      *BGPReplay
 	record      *BGPReplay
-	staticDirty map[string]bool
-	deviant     map[string]bool
+	staticDirty []bool
+	deviant     []bool
 	ran         bool
 
 	statRestored      int64
@@ -180,8 +180,8 @@ type BGPEngine struct {
 	// Sharded-evaluation state (see shard.go). shardWorkers is the SetShards
 	// knob (<= 1 keeps the sequential sweep); plan caches the per-AS
 	// partition and its dependency DAG; pertMu serializes perturbation-layer
-	// calls during concurrent shard evaluation. The stat pair accumulates
-	// across runs of this engine.
+	// calls during concurrent shard evaluation. The stat pair covers the
+	// most recent run.
 	shardWorkers     int
 	plan             *shardPlan
 	pertMu           sync.Mutex
@@ -365,9 +365,7 @@ func (e *BGPEngine) Step() bool {
 	}
 	e.rounds++
 	// Phase 1: selection.
-	for _, host := range e.order {
-		e.selectBest(e.speakers[host])
-	}
+	e.selectAll()
 	// Phase 2: advertisement into fresh adj-RIB-ins.
 	next := map[string]map[netip.Addr][]BGPRoute{}
 	for _, host := range e.order {
@@ -375,7 +373,7 @@ func (e *BGPEngine) Step() bool {
 	}
 	for _, host := range e.order {
 		sp := e.speakers[host]
-		for _, s := range e.sessionsOf(sp) {
+		for _, s := range sp.sorted {
 			peer := e.speakers[s.peerHost]
 			myAddr := s.myAddr
 			var out []BGPRoute
@@ -405,9 +403,7 @@ func (e *BGPEngine) Step() bool {
 	}
 	if changed {
 		// Re-select so observers see the post-round state.
-		for _, host := range e.order {
-			e.selectBest(e.speakers[host])
-		}
+		e.selectAll()
 	}
 	// Synchronous rounds rewrite every adj-RIB-in wholesale, so refresh all
 	// state-hash segments (cost parity with the previous full-state hash).
@@ -418,103 +414,13 @@ func (e *BGPEngine) Step() bool {
 	return !changed
 }
 
-// stepSequential processes speakers one at a time (Gauss–Seidel): each
-// speaker pulls its peers' current advertisements, rebuilds its adj-RIB-in
-// and re-selects before the next speaker runs.
-//
-// When a replay trajectory is armed (EnableIncremental), a speaker whose
-// round state is provably identical to the recorded one restores it
-// instead of recomputing — see replay.go for the admission argument.
-// Recomputed speakers are checked against the record afterwards: an exact
-// match re-adopts the recorded maps (so peers keep restoring), a mismatch
-// marks the speaker deviant.
-func (e *BGPEngine) stepSequential() bool {
-	e.rounds++
-	changed := false
-	var hist replayRound
-	if e.replay != nil {
-		if idx := e.rounds - 1; idx >= 0 && idx < len(e.replay.rounds) {
-			hist = e.replay.rounds[idx]
-		} else {
-			// The run outran the recorded trajectory; no further restores.
-			e.replay = nil
-		}
-	}
-	var rec replayRound
-	if e.record != nil {
-		rec = make(replayRound, len(e.order))
-	}
-	restoredThisRound := 0
+// selectAll is the synchronous round's selection phase: every speaker
+// re-selects against its current adj-RIB-in, churn applied as it goes.
+func (e *BGPEngine) selectAll() {
 	for _, host := range e.order {
-		sp := e.speakers[host]
-		if hist != nil {
-			if h, ok := hist[host]; ok && e.canRestore(host, sp) {
-				sp.adjIn = h.adjIn
-				sp.locRIB = h.locRIB
-				sp.seg = h.seg
-				for _, p := range h.churned {
-					e.churn[p]++
-				}
-				if len(h.churned) > 0 {
-					e.changedAt[host] = e.rounds
-				}
-				changed = changed || h.changed
-				if rec != nil {
-					rec[host] = h
-				}
-				e.statRestored++
-				restoredThisRound++
-				continue
-			}
-		}
-		newIn := map[netip.Addr][]BGPRoute{}
-		for _, s := range e.sessionsOf(sp) {
-			peer := e.speakers[s.peerHost]
-			ps, ok := e.reverseSession(peer, sp)
-			if !ok {
-				continue
-			}
-			var out []BGPRoute
-			for _, prefix := range sortedPrefixes(peer.locRIB) {
-				rt := peer.locRIB[prefix]
-				if adv, ok := peer.advertiseCached(rt, ps); ok {
-					out = append(out, adv)
-				}
-			}
-			out = e.deliver(peer.host, sp.host, out)
-			newIn[s.peerAddr] = filterReceived(sp, out, s.peerAddr)
-		}
-		spChanged := !adjEqual(sp.adjIn, newIn)
-		sp.adjIn = newIn
-		churned, ribChanged := e.selectBest(sp)
-		spChanged = spChanged || ribChanged
-		if spChanged {
-			changed = true
-			sp.seg = e.segHash(sp)
-		}
-		if hist != nil {
-			if h, ok := hist[host]; ok && sp.seg == h.seg &&
-				adjIdentical(sp.adjIn, h.adjIn) && locRIBIdentical(sp.locRIB, h.locRIB) {
-				// Back on (or still on) the trajectory: adopt the recorded
-				// maps so identity holds by reference for downstream peers.
-				sp.adjIn = h.adjIn
-				sp.locRIB = h.locRIB
-				delete(e.deviant, host)
-			} else {
-				e.deviant[host] = true
-			}
-		}
-		if rec != nil {
-			rec[host] = replayState{adjIn: sp.adjIn, locRIB: sp.locRIB, seg: sp.seg, changed: spChanged, churned: churned}
-		}
+		churned, _ := e.selectBest(e.speakers[host])
+		e.applyChurn(host, churned)
 	}
-	if hist != nil && restoredThisRound == len(e.order) {
-		e.statRoundsSkipped++
-	}
-	if rec != nil {
-		e.record.rounds = append(e.record.rounds, rec)
-	}
-	return !changed
 }
 
 // advertiseCached is advertise() behind the speaker's per-session memo:
@@ -651,23 +557,16 @@ func (sp *speaker) advertise(rt BGPRoute, s session, myAddr netip.Addr) (BGPRout
 	return out, true
 }
 
-// sessionsOf returns the speaker's sessions in deterministic processing
-// order (sorted by peer address, precomputed at engine build). Callers
-// must not mutate the returned slice.
-func (e *BGPEngine) sessionsOf(sp *speaker) []session {
-	return sp.sorted
-}
-
-// selectBest runs the decision process for every known prefix. It returns
-// the prefixes whose selection changed (collected only while recording a
-// replay trajectory) and whether the loc-RIB changed at all.
-func (e *BGPEngine) selectBest(sp *speaker) (churned []netip.Prefix, ribChanged bool) {
+// selectBest runs the decision process for every known prefix. It
+// returns the prefixes whose selection changed (in map-iteration order;
+// every consumer applies them as a set — see applyChurn) and the number of
+// prefixes evaluated, for the replay dirty-prefix statistics.
+func (e *BGPEngine) selectBest(sp *speaker) (churned []netip.Prefix, evaluated int) {
 	candidates := map[netip.Prefix][]BGPRoute{}
 	// Locally originated networks.
 	for _, p := range sp.dc.BGP.Networks {
-		nh := netip.Addr{}
 		candidates[p] = append(candidates[p], BGPRoute{
-			Prefix: p, NextHop: nh, LocalPref: 100, Local: true,
+			Prefix: p, LocalPref: 100, Local: true,
 		})
 	}
 	peers := make([]netip.Addr, 0, len(sp.adjIn))
@@ -684,52 +583,33 @@ func (e *BGPEngine) selectBest(sp *speaker) (churned []netip.Prefix, ribChanged 
 			candidates[r.Prefix] = append(candidates[r.Prefix], r)
 		}
 	}
-	if e.replay != nil {
-		e.statDirtyPrefixes += int64(len(candidates))
-	}
 	newRIB := map[netip.Prefix]BGPRoute{}
 	for p, cands := range candidates {
-		best, ok := e.decide(sp, cands)
-		if ok {
+		if best, ok := e.decide(sp, cands); ok {
 			newRIB[p] = best
 		}
 	}
-	churned, ribChanged = e.recordChurn(sp, newRIB)
+	churned = churnDelta(sp.locRIB, newRIB)
 	sp.locRIB = newRIB
-	return churned, ribChanged
+	return churned, len(candidates)
 }
 
-// recordChurn counts best-route changes between a speaker's old and new
-// selections — the per-prefix route-churn metric convergence experiments
-// report — and stamps the speaker's last-changed round for the watchdog's
-// unstable-speaker detection. The changed prefixes are collected (in
-// arbitrary order — replay applies them as a set) only while a replay
-// trajectory is being recorded. changed is true exactly when the loc-RIB
-// content changed (it is equivalent to !locRIBEqual(old, new)).
-func (e *BGPEngine) recordChurn(sp *speaker, newRIB map[netip.Prefix]BGPRoute) (churned []netip.Prefix, changed bool) {
+// churnDelta lists the prefixes whose selection changed between the old
+// and new loc-RIB — the per-prefix route-churn metric convergence
+// experiments report. It is empty exactly when the loc-RIB content did not
+// change (!locRIBEqual(old, new)).
+func churnDelta(oldRIB, newRIB map[netip.Prefix]BGPRoute) (churned []netip.Prefix) {
 	for p, nr := range newRIB {
-		or, had := sp.locRIB[p]
-		if !had || !routeEqual(or, nr) {
-			e.churn[p]++
-			changed = true
-			if e.record != nil {
-				churned = append(churned, p)
-			}
+		if or, had := oldRIB[p]; !had || !routeEqual(or, nr) {
+			churned = append(churned, p)
 		}
 	}
-	for p := range sp.locRIB {
+	for p := range oldRIB {
 		if _, still := newRIB[p]; !still {
-			e.churn[p]++
-			changed = true
-			if e.record != nil {
-				churned = append(churned, p)
-			}
+			churned = append(churned, p)
 		}
 	}
-	if changed {
-		e.changedAt[sp.host] = e.rounds
-	}
-	return churned, changed
+	return churned
 }
 
 // RouteChurn returns the per-prefix count of best-route changes across all
@@ -963,6 +843,7 @@ func (e *BGPEngine) RunContext(ctx context.Context, maxRounds int) BGPResult {
 	}
 	e.ran = true
 	e.statRestored, e.statDirtyPrefixes, e.statRoundsSkipped = 0, 0, 0
+	e.statShardRounds, e.statCrossAdverts = 0, 0
 	e.stateHashes = map[uint64][]int{}
 	e.converged, e.oscillating, e.cancelled = false, false, false
 	e.cycleLen = 0

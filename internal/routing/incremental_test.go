@@ -258,25 +258,61 @@ func asLineTopo(n int) []*DeviceConfig {
 	return devs
 }
 
-func runSeq(t *testing.T, devs []*DeviceConfig, prev *BGPReplay, extraDirty map[string]bool) (*BGPEngine, BGPResult) {
+// runSeq runs a sequential engine over devs with the given shard-worker
+// count, arming replay against prev when prev or extraDirty is set. Above
+// one worker it also runs the same inputs under the sweep and asserts the
+// two schedules identical.
+func runSeq(t *testing.T, devs []*DeviceConfig, prev *BGPReplay, extraDirty map[string]bool, shards int) (*BGPEngine, BGPResult) {
 	t.Helper()
 	e, err := NewBGPEngine(devs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.SetSequential(true)
+	e.SetShards(shards)
 	if prev != nil || extraDirty != nil {
 		e.EnableIncremental(prev, extraDirty)
 	}
-	return e, e.Run(100)
+	res := e.Run(100)
+	if shards > 1 {
+		seq, rs := runSeq(t, devs, prev, extraDirty, 1)
+		checkEnginesIdentical(t, fmt.Sprintf("shards=%d vs sweep", shards), seq, e, rs, res)
+	}
+	return e, res
+}
+
+// forSchedules runs a replay test under the sweep and under the 4-worker
+// wavefront (asLineTopo puts every router in its own AS, so the wavefront
+// has one shard per speaker).
+func forSchedules(t *testing.T, test func(t *testing.T, shards int)) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { test(t, shards) })
+	}
 }
 
 // checkEnginesIdentical asserts two engines reached fully identical
-// protocol state and identical observable metrics.
+// protocol state and identical observable metrics. When they ran the same
+// inputs under different schedules (sweep vs wavefront), their replay
+// statistics must match too, and the sharded one must have run the
+// wavefront.
 func checkEnginesIdentical(t *testing.T, name string, a, b *BGPEngine, ra, rb BGPResult) {
 	t.Helper()
 	if ra != rb {
 		t.Fatalf("%s: results diverge: %+v vs %+v", name, ra, rb)
+	}
+	if a.shardWorkers != b.shardWorkers {
+		ia0, ia1, ia2 := a.IncrementalStats()
+		ib0, ib1, ib2 := b.IncrementalStats()
+		if ia0 != ib0 || ia1 != ib1 || ia2 != ib2 {
+			t.Fatalf("%s: incremental stats diverge: %d/%d/%d vs %d/%d/%d", name, ia0, ia1, ia2, ib0, ib1, ib2)
+		}
+		sharded := b
+		if a.shardWorkers > b.shardWorkers {
+			sharded = a
+		}
+		if n, _ := sharded.ShardStats(); n == 0 {
+			t.Fatalf("%s: the sharded engine ran no wavefront rounds", name)
+		}
 	}
 	for _, host := range a.Speakers() {
 		sa, sb := a.speakers[host], b.speakers[host]
@@ -312,9 +348,11 @@ func checkEnginesIdentical(t *testing.T, name string, a, b *BGPEngine, ra, rb BG
 // TestBGPReplayCleanRun: an unchanged config set replays the entire
 // trajectory — every speaker-round restores, every round is skipped, and
 // all observables are identical to the from-scratch run.
-func TestBGPReplayCleanRun(t *testing.T) {
+func TestBGPReplayCleanRun(t *testing.T) { forSchedules(t, testBGPReplayCleanRun) }
+
+func testBGPReplayCleanRun(t *testing.T, shards int) {
 	devs := asLineTopo(8)
-	e1, r1 := runSeq(t, devs, nil, map[string]bool{})
+	e1, r1 := runSeq(t, devs, nil, map[string]bool{}, shards)
 	if !r1.Converged {
 		t.Fatalf("baseline did not converge: %+v", r1)
 	}
@@ -322,7 +360,7 @@ func TestBGPReplayCleanRun(t *testing.T) {
 	if log.Rounds() != r1.Rounds {
 		t.Fatalf("recorded %d rounds, ran %d", log.Rounds(), r1.Rounds)
 	}
-	e2, r2 := runSeq(t, devs, log, nil)
+	e2, r2 := runSeq(t, devs, log, nil, shards)
 	checkEnginesIdentical(t, "clean-replay", e1, e2, r1, r2)
 	restored, _, skipped := e2.IncrementalStats()
 	if want := int64(len(devs) * r2.Rounds); restored != want {
@@ -335,16 +373,18 @@ func TestBGPReplayCleanRun(t *testing.T) {
 		t.Errorf("ChangedSpeakers = %v, want empty non-nil", cs)
 	}
 	// The replayed run's own recording supports a further replay.
-	e3, r3 := runSeq(t, devs, e2.ReplayLog(), nil)
+	e3, r3 := runSeq(t, devs, e2.ReplayLog(), nil, shards)
 	checkEnginesIdentical(t, "replay-of-replay", e1, e3, r1, r3)
 }
 
 // TestBGPReplayDirtyConfig: a config change is detected by signature, the
 // dirty speaker and the wavefront recompute, the rest restores — and the
 // outcome is identical to a full run over the new configs.
-func TestBGPReplayDirtyConfig(t *testing.T) {
+func TestBGPReplayDirtyConfig(t *testing.T) { forSchedules(t, testBGPReplayDirtyConfig) }
+
+func testBGPReplayDirtyConfig(t *testing.T, shards int) {
 	devs := asLineTopo(10)
-	e1, r1 := runSeq(t, devs, nil, map[string]bool{})
+	e1, r1 := runSeq(t, devs, nil, map[string]bool{}, shards)
 	if !r1.Converged {
 		t.Fatalf("baseline did not converge: %+v", r1)
 	}
@@ -352,8 +392,8 @@ func TestBGPReplayDirtyConfig(t *testing.T) {
 
 	// r05 starts originating a second prefix.
 	devs[5].BGP.Networks = append(devs[5].BGP.Networks, netip.MustParsePrefix("198.51.100.0/24"))
-	full, rf := runSeq(t, devs, nil, nil)
-	inc, ri := runSeq(t, devs, log, nil)
+	full, rf := runSeq(t, devs, nil, nil, shards)
+	inc, ri := runSeq(t, devs, log, nil, shards)
 	checkEnginesIdentical(t, "dirty-config", full, inc, rf, ri)
 	restored, dirtyPfx, _ := inc.IncrementalStats()
 	if restored == 0 {
@@ -377,15 +417,17 @@ func TestBGPReplayDirtyConfig(t *testing.T) {
 
 // TestBGPReplayExtraDirty: caller-marked dirty speakers recompute but the
 // outcome stays identical.
-func TestBGPReplayExtraDirty(t *testing.T) {
+func TestBGPReplayExtraDirty(t *testing.T) { forSchedules(t, testBGPReplayExtraDirty) }
+
+func testBGPReplayExtraDirty(t *testing.T, shards int) {
 	devs := asLineTopo(6)
-	e1, r1 := runSeq(t, devs, nil, map[string]bool{})
+	e1, r1 := runSeq(t, devs, nil, map[string]bool{}, shards)
 	log := e1.ReplayLog()
-	inc, ri := runSeq(t, devs, log, map[string]bool{"r02": true})
+	inc, ri := runSeq(t, devs, log, map[string]bool{"r02": true}, shards)
 	checkEnginesIdentical(t, "extra-dirty", e1, inc, r1, ri)
 	restored, _, _ := inc.IncrementalStats()
 	clean, _, _ := func() (int64, int64, int64) {
-		e, _ := runSeq(t, devs, e1.ReplayLog(), nil)
+		e, _ := runSeq(t, devs, e1.ReplayLog(), nil, shards)
 		return e.IncrementalStats()
 	}()
 	if restored >= clean {
@@ -397,7 +439,7 @@ func TestBGPReplayExtraDirty(t *testing.T) {
 // stateful, so a perturbed run must neither replay nor record.
 func TestBGPReplayPerturbedRunRecordsNothing(t *testing.T) {
 	devs := asLineTopo(5)
-	e1, _ := runSeq(t, devs, nil, map[string]bool{})
+	e1, _ := runSeq(t, devs, nil, map[string]bool{}, 1)
 	log := e1.ReplayLog()
 	if log == nil {
 		t.Fatal("unperturbed run recorded nothing")
@@ -429,7 +471,7 @@ func TestBGPReplayPerturbedRunRecordsNothing(t *testing.T) {
 // and the in-progress recording.
 func TestBGPReplaySoftResetDiscards(t *testing.T) {
 	devs := asLineTopo(5)
-	e, r := runSeq(t, devs, nil, map[string]bool{})
+	e, r := runSeq(t, devs, nil, map[string]bool{}, 1)
 	if e.ReplayLog() == nil {
 		t.Fatal("run recorded nothing")
 	}
@@ -442,7 +484,7 @@ func TestBGPReplaySoftResetDiscards(t *testing.T) {
 		t.Fatalf("post-reset continuation: %+v", r2)
 	}
 	// The continuation must reconverge to the same tables as the original.
-	full, rf := runSeq(t, devs, nil, nil)
+	full, rf := runSeq(t, devs, nil, nil, 1)
 	if rf.Converged != r.Converged {
 		t.Fatalf("baselines disagree: %+v vs %+v", rf, r)
 	}
@@ -457,7 +499,7 @@ func TestBGPReplaySoftResetDiscards(t *testing.T) {
 // (watchdog budget escalation) must drop replay and recording.
 func TestBGPReplaySecondRunDiscards(t *testing.T) {
 	devs := asLineTopo(4)
-	e, _ := runSeq(t, devs, nil, map[string]bool{})
+	e, _ := runSeq(t, devs, nil, map[string]bool{}, 1)
 	if e.ReplayLog() == nil {
 		t.Fatal("first run recorded nothing")
 	}

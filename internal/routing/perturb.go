@@ -22,11 +22,11 @@ import (
 // Implementations must be deterministic: the engines call each hook under
 // a single lock in a per-session-preserving order, so any state kept
 // inside the perturber (delay queues, flap schedules) evolves
-// reproducibly. In the default sequential sweep the calls are additionally
-// globally ordered; the sharded driver (shard.go) preserves the relative
-// order of the two calls touching any one session but interleaves
-// different sessions, which is why custom Perturbers that do not implement
-// the capture extension are evaluated sequentially.
+// reproducibly. The sharded
+// wavefront (shard.go) interleaves different sessions, so the BGP engine
+// captures each delivery's event lines and restages them in sweep order at
+// the round's merge barrier; the unexported capture methods make
+// ScheduledPerturber the interface's only implementation.
 type Perturber interface {
 	// Reset clears round-keyed delivery state (delay queues, session-state
 	// tracking). The BGP engine calls it at the start of every Run, so a
@@ -52,6 +52,12 @@ type Perturber interface {
 	// OnSoftReset notifies that a speaker's sessions were adjacency-reset
 	// by the supervisor; recoverable faults on its sessions heal.
 	OnSoftReset(host string)
+
+	// setCapture redirects event lines into buf while it is non-nil; nil
+	// restores normal logging.
+	setCapture(buf *[]string)
+	// restageEvents appends previously captured lines to the event log.
+	restageEvents(lines []string)
 }
 
 // PerturbKind enumerates the rule types of the scheduled perturber.
@@ -166,8 +172,8 @@ type ScheduledPerturber struct {
 	events  []string
 	dropped int
 	// capture, when set, redirects logf into the pointed-at buffer instead
-	// of the event log (bypassing the cap); the sharded round driver uses
-	// it to collect per-delivery lines for canonical restaging at its merge
+	// of the event log (bypassing the cap); the BGP engine uses it to
+	// collect per-delivery lines for canonical restaging at its merge
 	// barrier.
 	capture *[]string
 }
@@ -224,14 +230,14 @@ func (p *ScheduledPerturber) logf(format string, args ...any) {
 	p.events = append(p.events, fmt.Sprintf(format, args...))
 }
 
-// setCapture implements the sharded driver's capture extension (see the
-// perturbCapturer interface in shard.go): while buf is non-nil, event
-// lines go there instead of the log. nil restores normal logging.
+// setCapture implements Perturber: while buf is non-nil, event lines go
+// there instead of the log. nil restores normal logging.
 func (p *ScheduledPerturber) setCapture(buf *[]string) { p.capture = buf }
 
-// restageEvents appends previously captured lines to the event log through
-// the normal cap-respecting path, so a sharded run's log — including any
-// truncation — is byte-identical to the sequential one.
+// restageEvents implements Perturber: it appends previously captured
+// lines to the event log through the normal cap-respecting path, so the
+// log — including any truncation — is the same as direct logging in
+// sweep order.
 func (p *ScheduledPerturber) restageEvents(lines []string) {
 	for _, l := range lines {
 		if len(p.events) >= maxPerturbEvents {

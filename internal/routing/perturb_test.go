@@ -91,6 +91,38 @@ func TestPerturbSameSeedByteIdentical(t *testing.T) {
 	if reflect.DeepEqual(p1.Events(), p3.Events()) {
 		t.Error("seeds 42 and 43 produced identical loss schedules")
 	}
+
+	// Gauss–Seidel rounds: the sweep and the 4-worker wavefront produce the
+	// same event log and the same tables (the chain is three ASes, so the
+	// wavefront has three shards).
+	runGS := func(shards int) (*BGPEngine, *ScheduledPerturber, BGPResult) {
+		e, err := NewBGPEngine(chainASTopo(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetSequential(true)
+		e.SetShards(shards)
+		p := NewScheduledPerturber(42, rules)
+		e.SetPerturber(p)
+		return e, p, e.Run(100)
+	}
+	seq, pseq, rseq := runGS(1)
+	shd, pshd, rshd := runGS(4)
+	if rseq != rshd {
+		t.Fatalf("sweep vs wavefront results differ: %+v vs %+v", rseq, rshd)
+	}
+	if len(pseq.Events()) == 0 {
+		t.Fatal("50% loss logged no events under the sweep")
+	}
+	if !reflect.DeepEqual(pseq.Events(), pshd.Events()) {
+		t.Errorf("sweep vs wavefront event logs differ:\n%v\nvs\n%v", pseq.Events(), pshd.Events())
+	}
+	if !reflect.DeepEqual(bestByHost(seq), bestByHost(shd)) {
+		t.Error("sweep vs wavefront best-route tables differ")
+	}
+	if n, _ := shd.ShardStats(); n == 0 {
+		t.Error("the sharded engine ran no wavefront rounds")
+	}
 }
 
 // 100% loss on one session is a stable fault: the run converges to a state

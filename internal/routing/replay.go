@@ -61,7 +61,7 @@ type replayState struct {
 	seg     uint64
 	changed bool
 	// churned lists the prefixes whose selection changed this round (the
-	// recordChurn delta), so a replayed round reproduces the engine's churn
+	// churnDelta list), so a replayed round reproduces the engine's churn
 	// counters and changed-at stamps exactly.
 	churned []netip.Prefix
 }
@@ -165,32 +165,15 @@ func (e *BGPEngine) EnableIncremental(prev *BGPReplay, extraDirty map[string]boo
 	}
 	if prev != nil && len(prev.rounds) > 0 {
 		e.replay = prev
-		e.staticDirty = map[string]bool{}
-		e.deviant = map[string]bool{}
-		for _, host := range e.order {
+		e.staticDirty = make([]bool, len(e.order))
+		e.deviant = make([]bool, len(e.order))
+		for i, host := range e.order {
 			sp := e.speakers[host]
 			psig, ok := prev.sigs[host]
-			if extraDirty[host] || !ok || psig != sigs[host] || !sessionsEqual(sp.sessions, prev.sess[host]) {
-				e.staticDirty[host] = true
-			}
+			e.staticDirty[i] = extraDirty[host] || !ok || psig != sigs[host] || !sessionsEqual(sp.sessions, prev.sess[host])
 		}
 	}
 	e.record = &BGPReplay{sigs: sigs, sess: sess}
-}
-
-// canRestore reports whether a speaker may adopt its recorded round state:
-// itself and every session peer must be neither statically dirty nor
-// deviant from the trajectory.
-func (e *BGPEngine) canRestore(host string, sp *speaker) bool {
-	if e.staticDirty[host] || e.deviant[host] {
-		return false
-	}
-	for _, s := range sp.sessions {
-		if e.staticDirty[s.peerHost] || e.deviant[s.peerHost] {
-			return false
-		}
-	}
-	return true
 }
 
 // ReplayLog returns the trajectory recorded by the most recent run, or nil

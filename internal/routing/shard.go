@@ -6,15 +6,17 @@ import (
 	"sync"
 )
 
-// Parallel sharded convergence. The sequential (Gauss–Seidel) sweep of
-// stepSequential processes speakers one at a time in hostname order; its
-// output is the byte-identity oracle every other evaluation mode must
-// match. Sharding exploits the topology's AS structure to recover
+// Gauss–Seidel rounds and their two schedules. Every sequential round is
+// processSpeaker once per speaker followed by one merge barrier
+// (mergeRound); the schedules differ only in which goroutine runs which
+// speaker when. The sweep (stepSequential) runs speakers one at a time in
+// hostname order on the calling goroutine — the byte-identity oracle. The
+// wavefront (stepSharded) exploits the topology's AS structure to recover
 // parallelism without giving up that identity: iBGP meshes are AS-local,
 // so partitioning speakers by ASN yields a shard graph whose cut edges are
 // exactly the eBGP sessions. Inside each round, shards evaluate
 // concurrently on a bounded worker pool, but every speaker still observes
-// exactly the peer states the sequential sweep would have shown it:
+// exactly the peer states the sweep would have shown it:
 //
 //   - within a shard, speakers run in hostname order (the sweep order);
 //   - across shards, a speaker X with a session peer P earlier in the
@@ -27,21 +29,18 @@ import (
 // progress: the lowest-indexed unprocessed speaker has all dependencies
 // satisfied, hence its shard is runnable. Each speaker therefore reads its
 // predecessors' round-r state and its successors' round-(r-1) state — the
-// Gauss–Seidel contract — and computes bit-for-bit what the sequential
-// sweep computes.
+// Gauss–Seidel contract — under both schedules.
 //
 // Engine-level side effects (churn counters, changed-at stamps, replay
-// deviance, trajectory recording, perturbation events) are not applied
-// concurrently. Each speaker collects its deltas into per-speaker slots,
-// and a merge barrier at the end of the round applies them single-threaded
-// in canonical order: speakers in sweep (hostname) order, sessions in
-// peer-address order, prefixes in the order the sequential code would have
-// touched them. The barrier's application order equals the sequential
-// temporal order, so counters, event logs and recorded trajectories are
-// byte-identical at any shard/worker count — which also means replay
-// restore/record keys on post-merge state and incremental × sharded
-// compose (a trajectory recorded sharded replays sequentially and vice
-// versa).
+// statistics, trajectory recording, perturbation events) are never applied
+// by processSpeaker. Each speaker collects its deltas into per-speaker
+// slots, and the merge barrier applies them single-threaded in canonical
+// order: speakers in sweep (hostname) order, sessions in peer-address
+// order. That is the order the sweep produces them in, so counters, event
+// logs and recorded trajectories are byte-identical at any shard/worker
+// count — which also means replay restore/record keys on post-merge state
+// and incremental × sharded compose (a trajectory recorded sharded replays
+// sequentially and vice versa).
 
 // Shard is one unit of the structural partition: an AS and its speakers in
 // sweep (hostname) order. Every speaker appears in exactly one shard.
@@ -70,9 +69,6 @@ type shardPlan struct {
 	// peers[i] lists all of i's session-peer indices (both directions of
 	// the sweep), for the replay admission check.
 	peers [][]int
-	// cross[i][k] reports whether sp.sorted[k] is an eBGP (cross-shard)
-	// session, for the cross-shard advertisement counter.
-	cross [][]bool
 }
 
 // shardPlan returns the cached partition, building it on first use.
@@ -85,7 +81,6 @@ func (e *BGPEngine) shardPlan() *shardPlan {
 		shardOf: make([]int, len(e.order)),
 		deps:    make([][]int, len(e.order)),
 		peers:   make([][]int, len(e.order)),
-		cross:   make([][]bool, len(e.order)),
 	}
 	for i, host := range e.order {
 		p.index[host] = i
@@ -121,10 +116,6 @@ func (e *BGPEngine) shardPlan() *shardPlan {
 		}
 		sort.Ints(p.peers[i])
 		sort.Ints(p.deps[i])
-		p.cross[i] = make([]bool, len(sp.sorted))
-		for k, s := range sp.sorted {
-			p.cross[i][k] = p.shardOf[p.index[s.peerHost]] != p.shardOf[i]
-		}
 	}
 	e.plan = p
 	return p
@@ -148,10 +139,10 @@ func (e *BGPEngine) ShardCount() int {
 	return len(e.shardPlan().shards)
 }
 
-// ShardStats reports sharded-evaluation work done by this engine:
-// rounds evaluated by the parallel driver and advertisements delivered
-// across shard boundaries (post-filter routes on eBGP sessions). Both
-// accumulate across runs of the same engine.
+// ShardStats reports the most recent run's sharded-evaluation work:
+// rounds evaluated by the parallel wavefront (0 under the sweep) and
+// advertisements delivered across shard boundaries (post-filter routes on
+// eBGP sessions, counted under either schedule).
 func (e *BGPEngine) ShardStats() (parallelRounds, crossShardAdverts int64) {
 	return e.statShardRounds, e.statCrossAdverts
 }
@@ -195,37 +186,17 @@ func (e *BGPEngine) ShardLayout() ([]Shard, [][2]string) {
 	return shards, cuts
 }
 
-// perturbCapturer is the optional Perturber extension the sharded driver
-// needs: event lines produced during out-of-order shard evaluation are
-// captured per delivery and restaged in canonical order at the merge
-// barrier. ScheduledPerturber implements it; a Perturber that does not is
-// evaluated sequentially (its event log would otherwise depend on shard
-// interleaving).
-type perturbCapturer interface {
-	Perturber
-	setCapture(buf *[]string)
-	restageEvents(lines []string)
-}
-
 // useSharded reports whether the next sequential round should run the
-// parallel driver.
+// parallel wavefront rather than the single-goroutine sweep.
 func (e *BGPEngine) useSharded() bool {
-	if e.shardWorkers <= 1 || len(e.order) == 0 {
-		return false
-	}
-	if e.pert != nil {
-		if _, ok := e.pert.(perturbCapturer); !ok {
-			return false
-		}
-	}
-	return len(e.shardPlan().shards) > 1
+	return e.shardWorkers > 1 && len(e.shardPlan().shards) > 1
 }
 
-// shardRun is the per-round scheduler state plus the per-speaker delta
-// slots the merge barrier consumes. Speakers write only their own slots
-// (and pullers touch peers' advertise caches under the peer's advMu), so
-// the slices need no locking; the scheduler mutex orders all cross-shard
-// hand-offs.
+// shardRun is one Gauss–Seidel round: the per-speaker delta slots the
+// merge barrier consumes, plus the wavefront's scheduler state (unused by
+// the sweep). Speakers write only their own slots (and pullers touch
+// peers' advertise caches under the peer's advMu), so the slices need no
+// locking; the scheduler mutex orders all cross-shard hand-offs.
 type shardRun struct {
 	e    *BGPEngine
 	plan *shardPlan
@@ -237,21 +208,11 @@ type shardRun struct {
 	restored []bool
 	dirty    []int64
 	crossAdv []int64
-	// deviant/sdirty mirror e.deviant/e.staticDirty as index slices for the
-	// round (nil when no trajectory is armed). deviant is updated live —
-	// the admission check reads predecessors' round-r verdicts — which is
-	// race-free because only session peers read a speaker's slot and
-	// session endpoints never run concurrently.
-	deviant []bool
-	sdirty  []bool
-	// rec/recSet collect the round's trajectory record (nil when not
-	// recording).
-	rec    []replayState
-	recSet []bool
+	// rec collects the round's trajectory record (nil when not recording).
+	rec []replayState
 	// events[i][k] captures perturber event lines for speaker i's k-th
 	// sorted session, restaged in (speaker, session) order at the barrier.
 	events [][][]string
-	capt   perturbCapturer
 
 	mu        sync.Mutex
 	done      []bool
@@ -261,51 +222,59 @@ type shardRun struct {
 	remaining int
 }
 
-// stepSharded is stepSequential's parallel twin: one round of the
-// wavefront evaluation followed by the merge barrier. See the package
-// comment at the top of this file for the identity argument.
-func (e *BGPEngine) stepSharded() bool {
+// beginRound is the prologue both schedules share: it advances the round
+// counter, drops a replay trajectory the run has outrun, and allocates the
+// round's per-speaker slots.
+func (e *BGPEngine) beginRound() *shardRun {
 	e.rounds++
-	e.statShardRounds++
 	var hist replayRound
 	if e.replay != nil {
-		if idx := e.rounds - 1; idx >= 0 && idx < len(e.replay.rounds) {
+		if idx := e.rounds - 1; idx < len(e.replay.rounds) {
 			hist = e.replay.rounds[idx]
 		} else {
 			// The run outran the recorded trajectory; no further restores.
 			e.replay = nil
 		}
 	}
-	plan := e.shardPlan()
 	n := len(e.order)
 	r := &shardRun{
-		e: e, plan: plan, hist: hist,
+		e: e, plan: e.shardPlan(), hist: hist,
 		churned:  make([][]netip.Prefix, n),
 		changed:  make([]bool, n),
 		restored: make([]bool, n),
 		dirty:    make([]int64, n),
 		crossAdv: make([]int64, n),
-		done:     make([]bool, n),
-		cursor:   make([]int, len(plan.shards)),
-		waiters:  map[int][]int{},
-		ready:    make(chan int, len(plan.shards)),
-	}
-	if hist != nil {
-		r.deviant = make([]bool, n)
-		r.sdirty = make([]bool, n)
-		for i, host := range e.order {
-			r.deviant[i] = e.deviant[host]
-			r.sdirty[i] = e.staticDirty[host]
-		}
 	}
 	if e.record != nil {
 		r.rec = make([]replayState, n)
-		r.recSet = make([]bool, n)
 	}
 	if e.pert != nil {
-		r.capt = e.pert.(perturbCapturer) // checked by useSharded
 		r.events = make([][][]string, n)
 	}
+	return r
+}
+
+// stepSequential is the sweep schedule: speakers one at a time in
+// hostname order on the calling goroutine, then the merge barrier.
+func (e *BGPEngine) stepSequential() bool {
+	r := e.beginRound()
+	for i := range e.order {
+		e.processSpeaker(i, r)
+	}
+	return e.mergeRound(r)
+}
+
+// stepSharded is the wavefront schedule: the per-AS shards evaluate
+// concurrently on up to shardWorkers goroutines, then the merge barrier.
+// See the comment at the top of this file for the identity argument.
+func (e *BGPEngine) stepSharded() bool {
+	r := e.beginRound()
+	e.statShardRounds++
+	plan := r.plan
+	r.done = make([]bool, len(e.order))
+	r.cursor = make([]int, len(plan.shards))
+	r.waiters = map[int][]int{}
+	r.ready = make(chan int, len(plan.shards))
 	r.remaining = len(plan.shards)
 	for sid := range plan.shards {
 		r.ready <- sid
@@ -327,22 +296,22 @@ func (e *BGPEngine) stepSharded() bool {
 		}()
 	}
 	wg.Wait()
+	return e.mergeRound(r)
+}
 
-	// Merge barrier: apply every speaker's deltas in sweep order — exactly
-	// the order the sequential sweep applied them as it went.
+// mergeRound is the merge barrier that ends every Gauss–Seidel round: it
+// applies each speaker's slots single-threaded in sweep order — the
+// order in which the speakers produced them under the sweep schedule — and
+// reports whether the round changed nothing.
+func (e *BGPEngine) mergeRound(r *shardRun) bool {
 	changed := false
 	restoredThisRound := 0
 	var rec replayRound
 	if r.rec != nil {
-		rec = make(replayRound, n)
+		rec = make(replayRound, len(e.order))
 	}
 	for i, host := range e.order {
-		for _, p := range r.churned[i] {
-			e.churn[p]++
-		}
-		if len(r.churned[i]) > 0 {
-			e.changedAt[host] = e.rounds
-		}
+		e.applyChurn(host, r.churned[i])
 		changed = changed || r.changed[i]
 		if r.restored[i] {
 			e.statRestored++
@@ -350,31 +319,34 @@ func (e *BGPEngine) stepSharded() bool {
 		}
 		e.statDirtyPrefixes += r.dirty[i]
 		e.statCrossAdverts += r.crossAdv[i]
-		if r.deviant != nil {
-			if r.deviant[i] {
-				e.deviant[host] = true
-			} else {
-				delete(e.deviant, host)
-			}
-		}
-		if rec != nil && r.recSet[i] {
+		if rec != nil {
 			rec[host] = r.rec[i]
 		}
 		if r.events != nil {
 			for _, lines := range r.events[i] {
-				if len(lines) > 0 {
-					r.capt.restageEvents(lines)
-				}
+				e.pert.restageEvents(lines)
 			}
 		}
 	}
-	if hist != nil && restoredThisRound == n {
+	if r.hist != nil && restoredThisRound == len(e.order) {
 		e.statRoundsSkipped++
 	}
 	if rec != nil {
 		e.record.rounds = append(e.record.rounds, rec)
 	}
 	return !changed
+}
+
+// applyChurn counts one speaker's best-route changes into the per-prefix
+// churn metric and stamps its last-changed round for the watchdog's
+// unstable-speaker detection.
+func (e *BGPEngine) applyChurn(host string, churned []netip.Prefix) {
+	for _, p := range churned {
+		e.churn[p]++
+	}
+	if len(churned) > 0 {
+		e.changedAt[host] = e.rounds
+	}
 }
 
 // finishShard retires a completed shard, closing the ready queue when the
@@ -431,28 +403,37 @@ func (r *shardRun) runShard(sid int) bool {
 	}
 }
 
-// canRestore is the replay admission check over the round's index slices:
-// the speaker and all its session peers must be neither statically dirty
-// nor deviant. Predecessor peers carry this round's verdict (they finished
-// before us), successors last round's — the same views the sequential
-// sweep reads.
+// canRestore is the replay admission check: the speaker and all its
+// session peers must be neither statically dirty nor deviant from the
+// trajectory. Predecessor peers carry this round's verdict (they finished
+// before us), successors last round's — the Gauss–Seidel views.
 func (r *shardRun) canRestore(i int) bool {
-	if r.sdirty[i] || r.deviant[i] {
+	e := r.e
+	if e.staticDirty[i] || e.deviant[i] {
 		return false
 	}
 	for _, j := range r.plan.peers[i] {
-		if r.sdirty[j] || r.deviant[j] {
+		if e.staticDirty[j] || e.deviant[j] {
 			return false
 		}
 	}
 	return true
 }
 
-// processSpeaker is the sharded counterpart of one stepSequential loop
-// iteration: restore-or-recompute for speaker i, with all engine-level
-// side effects routed into the shardRun's per-speaker slots. Any change to
-// the sequential loop body must be mirrored here; the root parity harness
-// (shard_parity_test.go) pins the equivalence.
+// processSpeaker computes speaker i's Gauss–Seidel round under either
+// schedule: each speaker pulls its peers' current advertisements, rebuilds
+// its adj-RIB-in and re-selects. Engine-level side effects go into the
+// shardRun's per-speaker slots for the merge barrier. Beyond those it
+// writes the speaker's own RIBs and deviant verdict, which session peers
+// read in sweep order, and lock-guarded state: peers' advertise caches
+// (advMu) and the perturbation layer (pertMu).
+//
+// When a replay trajectory is armed (EnableIncremental), a speaker whose
+// round state is provably identical to the recorded one restores it
+// instead of recomputing — see replay.go for the admission argument.
+// Recomputed speakers are checked against the record afterwards: an exact
+// match re-adopts the recorded maps (so peers keep restoring), a mismatch
+// marks the speaker deviant.
 func (e *BGPEngine) processSpeaker(i int, r *shardRun) {
 	host := e.order[i]
 	sp := e.speakers[host]
@@ -465,13 +446,13 @@ func (e *BGPEngine) processSpeaker(i int, r *shardRun) {
 			r.changed[i] = h.changed
 			r.restored[i] = true
 			if r.rec != nil {
-				r.rec[i], r.recSet[i] = h, true
+				r.rec[i] = h
 			}
 			return
 		}
 	}
 	newIn := map[netip.Addr][]BGPRoute{}
-	for k, s := range e.sessionsOf(sp) {
+	for k, s := range sp.sorted {
 		peer := e.speakers[s.peerHost]
 		ps, ok := e.reverseSession(peer, sp)
 		if !ok {
@@ -479,9 +460,9 @@ func (e *BGPEngine) processSpeaker(i int, r *shardRun) {
 		}
 		var out []BGPRoute
 		// The peer is quiescent (finished, or not yet started, this round —
-		// session endpoints never run concurrently), but several of its
-		// other peers may be pulling from it right now; advMu serializes
-		// their writes to its advertise cache.
+		// session endpoints never run concurrently), but under the wavefront
+		// several of its other peers may be pulling from it right now; advMu
+		// serializes their writes to its advertise cache.
 		peer.advMu.Lock()
 		for _, prefix := range sortedPrefixes(peer.locRIB) {
 			rt := peer.locRIB[prefix]
@@ -490,56 +471,58 @@ func (e *BGPEngine) processSpeaker(i int, r *shardRun) {
 			}
 		}
 		peer.advMu.Unlock()
-		out = e.deliverSharded(i, k, peer.host, sp.host, out, r)
+		out = e.deliverCaptured(i, k, peer.host, sp.host, out, r)
 		newIn[s.peerAddr] = filterReceived(sp, out, s.peerAddr)
-		if r.plan.cross[i][k] {
+		if s.ebgp { // eBGP sessions are exactly the cross-shard ones
 			r.crossAdv[i] += int64(len(newIn[s.peerAddr]))
 		}
 	}
 	spChanged := !adjEqual(sp.adjIn, newIn)
 	sp.adjIn = newIn
-	churned, ribChanged := e.selectBestCollect(sp, r.hist != nil, &r.dirty[i])
-	spChanged = spChanged || ribChanged
+	churned, evaluated := e.selectBest(sp)
+	if r.hist != nil {
+		r.dirty[i] = int64(evaluated)
+	}
+	spChanged = spChanged || len(churned) > 0
 	if spChanged {
 		sp.seg = e.segHash(sp)
 	}
 	r.churned[i] = churned
 	r.changed[i] = spChanged
 	if r.hist != nil {
-		if h, ok := r.hist[host]; ok && sp.seg == h.seg &&
-			adjIdentical(sp.adjIn, h.adjIn) && locRIBIdentical(sp.locRIB, h.locRIB) {
+		h, ok := r.hist[host]
+		onTrajectory := ok && sp.seg == h.seg &&
+			adjIdentical(sp.adjIn, h.adjIn) && locRIBIdentical(sp.locRIB, h.locRIB)
+		if onTrajectory {
 			// Back on (or still on) the trajectory: adopt the recorded maps
 			// so identity holds by reference for downstream peers.
 			sp.adjIn = h.adjIn
 			sp.locRIB = h.locRIB
-			r.deviant[i] = false
-		} else {
-			r.deviant[i] = true
 		}
+		e.deviant[i] = !onTrajectory
 	}
 	if r.rec != nil {
 		r.rec[i] = replayState{adjIn: sp.adjIn, locRIB: sp.locRIB, seg: sp.seg, changed: spChanged, churned: churned}
-		r.recSet[i] = true
 	}
 }
 
-// deliverSharded applies the perturbation layer for one session under the
+// deliverCaptured applies the perturbation layer for one session under the
 // engine's perturber lock, capturing any event lines for canonical
 // restaging at the barrier. The perturber's decisions are FNV-keyed by
 // (round, session, route) and its per-session state is only touched by the
 // session's two endpoints — which run in sweep order — so out-of-order
 // shard evaluation changes only the order event lines are produced, never
 // their content; the barrier restores the order.
-func (e *BGPEngine) deliverSharded(i, k int, from, to string, routes []BGPRoute, r *shardRun) []BGPRoute {
+func (e *BGPEngine) deliverCaptured(i, k int, from, to string, routes []BGPRoute, r *shardRun) []BGPRoute {
 	if e.pert == nil {
 		return routes
 	}
 	e.pertMu.Lock()
 	defer e.pertMu.Unlock()
 	var buf []string
-	r.capt.setCapture(&buf)
+	e.pert.setCapture(&buf)
 	out := e.deliver(from, to, routes)
-	r.capt.setCapture(nil)
+	e.pert.setCapture(nil)
 	if len(buf) > 0 {
 		if r.events[i] == nil {
 			r.events[i] = make([][]string, len(e.speakers[to].sorted))
@@ -547,64 +530,4 @@ func (e *BGPEngine) deliverSharded(i, k int, from, to string, routes []BGPRoute,
 		r.events[i][k] = buf
 	}
 	return out
-}
-
-// selectBestCollect is selectBest with the engine-level side effects
-// (churn counters, changed-at stamps, dirty-prefix statistics) collected
-// for the merge barrier instead of applied to shared maps. The decision
-// process itself is identical.
-func (e *BGPEngine) selectBestCollect(sp *speaker, replaying bool, dirty *int64) (churned []netip.Prefix, ribChanged bool) {
-	candidates := map[netip.Prefix][]BGPRoute{}
-	for _, p := range sp.dc.BGP.Networks {
-		candidates[p] = append(candidates[p], BGPRoute{
-			Prefix: p, LocalPref: 100, Local: true,
-		})
-	}
-	peers := make([]netip.Addr, 0, len(sp.adjIn))
-	for a := range sp.adjIn {
-		peers = append(peers, a)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].Less(peers[j]) })
-	for _, peer := range peers {
-		for _, rt := range sp.adjIn[peer] {
-			if rt.NextHop.IsValid() && e.igp.IGPCost(sp.host, rt.NextHop) < 0 {
-				continue
-			}
-			candidates[rt.Prefix] = append(candidates[rt.Prefix], rt)
-		}
-	}
-	if replaying {
-		*dirty += int64(len(candidates))
-	}
-	newRIB := map[netip.Prefix]BGPRoute{}
-	for p, cands := range candidates {
-		if best, ok := e.decide(sp, cands); ok {
-			newRIB[p] = best
-		}
-	}
-	churned, ribChanged = churnDelta(sp.locRIB, newRIB)
-	sp.locRIB = newRIB
-	return churned, ribChanged
-}
-
-// churnDelta is recordChurn without the engine-map writes: the prefixes
-// whose selection changed between the old and new loc-RIB, and whether the
-// content changed at all. Unlike recordChurn it always collects the
-// churned list — the barrier needs it to replay the counters. The list's
-// order is map-iteration order; every consumer applies it as a set.
-func churnDelta(oldRIB, newRIB map[netip.Prefix]BGPRoute) (churned []netip.Prefix, changed bool) {
-	for p, nr := range newRIB {
-		or, had := oldRIB[p]
-		if !had || !routeEqual(or, nr) {
-			churned = append(churned, p)
-			changed = true
-		}
-	}
-	for p := range oldRIB {
-		if _, still := newRIB[p]; !still {
-			churned = append(churned, p)
-			changed = true
-		}
-	}
-	return churned, changed
 }

@@ -11,6 +11,9 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== benchmark module (perfbench/ is its own module; vet + build it against this tree)"
+(cd perfbench && go vet ./... && go build ./...)
+
 echo "== go test -race (shuffled: catches inter-test order dependence)"
 go test -race -shuffle=on ./...
 

@@ -83,8 +83,9 @@ perturb clear
 // runShardScenario builds the Small-Internet fixture, deploys it with the
 // given build-worker count, shard worker count and convergence mode, runs
 // the scenario, and returns the rendered report, the lab event log, a
-// combined RIB+FIB dump of every machine, and the network's counters.
-func runShardScenario(t *testing.T, workers, shards int, incremental bool, scenario string) (report, events, tables string, stats obs.Stats) {
+// combined RIB+FIB dump of every machine, the network's counters, and the
+// lab's final structural shard count.
+func runShardScenario(t *testing.T, workers, shards int, incremental bool, scenario string) (report, events, tables string, stats obs.Stats, shardCount int) {
 	t.Helper()
 	net, err := Load(fixture)
 	if err != nil {
@@ -116,7 +117,7 @@ func runShardScenario(t *testing.T, workers, shards int, incremental bool, scena
 		t.Fatalf("scenario produced error findings:\n%s", rep)
 	}
 	return rep.String() + "\n", strings.Join(dep.Lab().Events(), "\n"),
-		ribFibDump(dep.Lab()), net.Stats()
+		ribFibDump(dep.Lab()), net.Stats(), dep.Lab().BGPShardCount()
 }
 
 // ribFibDump renders every machine's BGP RIB and forwarding table (the
@@ -148,7 +149,7 @@ func TestShardedConvergenceParity(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			scenario := shardParityScenario(seed)
-			wantReport, wantEvents, wantTables, _ := runShardScenario(t, 1, 1, false, scenario)
+			wantReport, wantEvents, wantTables, _, _ := runShardScenario(t, 1, 1, false, scenario)
 			for _, shards := range shardCounts {
 				for _, workers := range []int{1, 8} {
 					for _, incremental := range []bool{false, true} {
@@ -159,7 +160,7 @@ func TestShardedConvergenceParity(t *testing.T) {
 							continue // incremental × sharded is covered at workers=8
 						}
 						label := fmt.Sprintf("shards=%d workers=%d incremental=%v", shards, workers, incremental)
-						report, events, tables, stats := runShardScenario(t, workers, shards, incremental, scenario)
+						report, events, tables, stats, shardCount := runShardScenario(t, workers, shards, incremental, scenario)
 						if report != wantReport {
 							t.Errorf("%s: report differs from sequential baseline:\n--- got ---\n%s--- want ---\n%s",
 								label, report, wantReport)
@@ -179,6 +180,11 @@ func TestShardedConvergenceParity(t *testing.T) {
 								if stats.Counters[c] == 0 {
 									t.Errorf("%s: counter %s = 0, sharded path never ran", label, c)
 								}
+							}
+							// bgp_shards is the structural count, not a sum
+							// over converges.
+							if got := stats.Counters[obs.CounterBGPShards]; got != int64(shardCount) {
+								t.Errorf("%s: counter %s = %d, lab has %d shards", label, obs.CounterBGPShards, got, shardCount)
 							}
 						} else if n := stats.Counters[obs.CounterShardRoundsParallel]; n != 0 {
 							t.Errorf("%s: sequential run evaluated %d parallel rounds", label, n)
@@ -354,7 +360,7 @@ func runShardDrill(t *testing.T, shards int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, _, _, stats := runShardScenario(t, 1, shards, false, string(data))
+	report, _, _, stats, _ := runShardScenario(t, 1, shards, false, string(data))
 	if shards > 1 && stats.Counters[obs.CounterShardRoundsParallel] == 0 {
 		t.Fatalf("shards=%d: parallel driver never ran", shards)
 	}
@@ -397,5 +403,43 @@ func TestGoldenShardDrill(t *testing.T) {
 	}
 	if report != string(golden) {
 		t.Errorf("drill report differs from golden:\n--- got ---\n%s--- want ---\n%s", report, golden)
+	}
+}
+
+// A watchdog soft reset reruns the BGP engine under the wavefront; its
+// rounds reach shard_rounds_parallel like a converge's do, and bgp_shards
+// stays the structural count.
+func TestShardSoftResetCounters(t *testing.T) {
+	net, err := Load(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Build(BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	dep, err := net.Deploy(deploy.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab := dep.Lab()
+	before := net.Stats().Counters[obs.CounterShardRoundsParallel]
+	prevRounds := lab.BGPResult().Rounds
+	res, err := lab.SoftResetSpeakers([]string{"as1r1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("soft reset did not reconverge: %+v", res)
+	}
+	after := net.Stats().Counters
+	resetRounds := int64(res.Rounds - prevRounds) // Rounds counts across runs
+	if resetRounds <= 0 {
+		t.Fatalf("soft reset ran no rounds (%d -> %d)", prevRounds, res.Rounds)
+	}
+	if got := after[obs.CounterShardRoundsParallel] - before; got != resetRounds {
+		t.Errorf("%s grew by %d over a %d-round soft reset", obs.CounterShardRoundsParallel, got, resetRounds)
+	}
+	if got, want := after[obs.CounterBGPShards], int64(lab.BGPShardCount()); got != want {
+		t.Errorf("counter %s = %d, lab has %d shards", obs.CounterBGPShards, got, want)
 	}
 }
